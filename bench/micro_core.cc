@@ -118,48 +118,6 @@ BENCHMARK(BM_SimplexFeasibility)
     ->Args({100000, 50, 0})
     ->Args({100000, 50, 1});
 
-// A/B for the striped candidate-list refill (SimplexOptions::
-// pricing_threads): the same wide, shallow LP — the DataSynth grid regime
-// where the fresh-block scan dominates — solved with a sequential scan and
-// with the block striped over 2/4 workers. The pivot path is bit-identical
-// at every setting (the stripes merge in column order), so any delta is
-// pure scan throughput. Args: {vars, rows, pricing_threads}.
-void BM_SimplexParallelPricing(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const int m = static_cast<int>(state.range(1));
-  Rng rng(3);
-  std::vector<int64_t> witness(n);
-  for (int j = 0; j < n; ++j) witness[j] = rng.NextInt(0, 1000000);
-  LpProblem p;
-  p.AddVariables(n);
-  for (int i = 0; i < m; ++i) {
-    LpConstraint c;
-    int64_t rhs = 0;
-    for (int j = 0; j < n; ++j) {
-      if (rng.NextBool(0.3)) {
-        c.AddTerm(j, 1.0);
-        rhs += witness[j];
-      }
-    }
-    c.rhs = static_cast<double>(rhs);
-    p.AddConstraint(std::move(c));
-  }
-  SimplexOptions options;
-  options.pricing_threads = static_cast<int>(state.range(2));
-  for (auto _ : state) {
-    auto sol = SolveFeasibility(p, options);
-    benchmark::DoNotOptimize(sol);
-  }
-  state.counters["vars"] = n;
-  state.counters["threads"] = options.pricing_threads;
-}
-BENCHMARK(BM_SimplexParallelPricing)
-    ->Args({100000, 50, 1})
-    ->Args({100000, 50, 2})
-    ->Args({100000, 50, 4})
-    ->Args({400000, 30, 1})
-    ->Args({400000, 30, 4});
-
 // Re-solving an LP seeded with its own exported basis vs solving it cold
 // — the warm-start chain case in src/hydra/regenerator.cc, where
 // consecutive views formulate near-identical LPs.
@@ -394,10 +352,7 @@ void BM_RandomAccessTuple(benchmark::State& state) {
 BENCHMARK(BM_RandomAccessTuple);
 
 // --- Columnar kernel micro benches -----------------------------------------
-// Each takes a trailing 0/1 arg toggling kernels::SetSimdEnabled, so one run
-// A/Bs the scalar loops against the explicit SIMD paths on the same data.
-// CI runs these (plus fig_query_exec) in a second -mavx2 build variant to
-// cover the AVX2 dispatch level the default Release build compiles out.
+// CI gates these (plus fig_query_exec) in the Release perf job.
 
 RowBlock RandomBlock(int width, int64_t rows, uint64_t seed) {
   Rng rng(seed);
@@ -410,10 +365,9 @@ RowBlock RandomBlock(int width, int64_t rows, uint64_t seed) {
   return block;
 }
 
-// Args: {rows, simd}.
+// Args: {rows}.
 void BM_PredEval(benchmark::State& state) {
   const int64_t n = state.range(0);
-  kernels::SetSimdEnabled(state.range(1) != 0);
   const RowBlock block = RandomBlock(2, n, 17);
   // Two conjuncts sharing a column, so the bench covers the per-atom mask
   // kernels and the conjunct AND / disjunct OR combines.
@@ -428,18 +382,12 @@ void BM_PredEval(benchmark::State& state) {
     benchmark::DoNotOptimize(sel.data());
   }
   state.SetItemsProcessed(state.iterations() * n);
-  kernels::SetSimdEnabled(true);
 }
-BENCHMARK(BM_PredEval)
-    ->Args({4096, 0})
-    ->Args({4096, 1})
-    ->Args({65536, 0})
-    ->Args({65536, 1});
+BENCHMARK(BM_PredEval)->Arg(4096)->Arg(65536);
 
-// Args: {rows, simd}.
+// Args: {rows}.
 void BM_HashKeys(benchmark::State& state) {
   const int64_t n = state.range(0);
-  kernels::SetSimdEnabled(state.range(1) != 0);
   const RowBlock block = RandomBlock(1, n, 23);
   std::vector<uint64_t> hashes(n);
   for (auto _ : state) {
@@ -447,16 +395,11 @@ void BM_HashKeys(benchmark::State& state) {
     benchmark::DoNotOptimize(hashes.data());
   }
   state.SetItemsProcessed(state.iterations() * n);
-  kernels::SetSimdEnabled(true);
 }
-BENCHMARK(BM_HashKeys)
-    ->Args({4096, 0})
-    ->Args({4096, 1})
-    ->Args({65536, 0})
-    ->Args({65536, 1});
+BENCHMARK(BM_HashKeys)->Arg(4096)->Arg(65536);
 
-// Args: {simd}. Columnar generator fill of a whole relation (the batched
-// replacement for the row-at-a-time Fill path).
+// Columnar generator fill of a whole relation (the batched replacement for
+// the row-at-a-time Fill path).
 void BM_GeneratorFill(benchmark::State& state) {
   ToyEnvironment env = MakeToyEnvironment();
   HydraRegenerator hydra(env.schema);
@@ -466,7 +409,6 @@ void BM_GeneratorFill(benchmark::State& state) {
   const int r = env.schema.RelationIndex("R");
   const int64_t n = static_cast<int64_t>(gen.RowCount(r));
   const int width = env.schema.relation(r).num_attributes();
-  kernels::SetSimdEnabled(state.range(0) != 0);
   RowBlock block(width);
   for (auto _ : state) {
     block.Reset(width);
@@ -474,20 +416,18 @@ void BM_GeneratorFill(benchmark::State& state) {
     benchmark::DoNotOptimize(block.Column(0));
   }
   state.SetItemsProcessed(state.iterations() * n);
-  kernels::SetSimdEnabled(true);
 }
-BENCHMARK(BM_GeneratorFill)->Arg(0)->Arg(1);
+BENCHMARK(BM_GeneratorFill);
 
 // The shared-scan multicast core (src/serve/scan_group.h): one generator
 // pass fills a chunk-sized block, then every co-resident member derives its
 // own bytes from it with its compiled predicate over the chunk slice plus a
 // Gather. shared=0 is the unicast baseline — each member runs its own
 // generation pass before filtering — so the ratio is the multicast win at
-// that fan-out. Args: {members, shared, simd}.
+// that fan-out. Args: {members, shared}.
 void BM_SharedFanout(benchmark::State& state) {
   const int members = static_cast<int>(state.range(0));
   const bool shared = state.range(1) != 0;
-  kernels::SetSimdEnabled(state.range(2) != 0);
   ToyEnvironment env = MakeToyEnvironment();
   HydraRegenerator hydra(env.schema);
   auto result = hydra.Regenerate(env.ccs);
@@ -530,14 +470,12 @@ void BM_SharedFanout(benchmark::State& state) {
     }
   }
   state.SetItemsProcessed(state.iterations() * members * chunk);
-  kernels::SetSimdEnabled(true);
 }
 BENCHMARK(BM_SharedFanout)
-    ->Args({8, 0, 1})
-    ->Args({8, 1, 1})
-    ->Args({32, 0, 1})
-    ->Args({32, 1, 1})
-    ->Args({32, 1, 0});
+    ->Args({8, 0})
+    ->Args({8, 1})
+    ->Args({32, 0})
+    ->Args({32, 1});
 
 // Bridges google-benchmark runs into the JsonReporter trajectory records:
 // one {name, seconds-per-iteration, iterations} record per run.

@@ -2,19 +2,12 @@
 // mask combination, selection-vector extraction, gathers, batched join-key
 // hashing, and constant/iota column fills.
 //
-// Every kernel has a scalar body written as a tight autovectorizable loop and
-// an explicit SIMD body selected by a compile-time dispatch macro:
-//
-//   HYDRA_SIMD_LEVEL 0  portable scalar only
-//   HYDRA_SIMD_LEVEL 1  SSE2   (x86-64 baseline: interval masks, mask ops)
-//   HYDRA_SIMD_LEVEL 2  AVX2   (adds 4-wide 64-bit compares and vectorized
-//                               splitmix64 key hashing; build with -mavx2)
-//
-// The level is picked from the compiler's target flags; SetSimdEnabled(false)
-// forces the scalar bodies at runtime so tests and benches can A/B the two
-// paths in one binary. Scalar and SIMD bodies compute bit-identical results —
-// the dispatch is a pure performance choice, never a semantic one — which is
-// what keeps engine output byte-identical across ISAs (docs/engine.md).
+// Every kernel has one body: a tight loop over contiguous data that the
+// compiler vectorizes where the build's target ISA has the instructions
+// (baseline x86-64 lacks 64-bit compares and multiplies, so the interval
+// masks and HashKeys stay scalar there). The loops are plain integer
+// arithmetic, so results are bit-identical on every ISA, which keeps engine
+// output byte-identical across machines (docs/engine.md).
 //
 // BlockPredicate is the compiled form of a DnfPredicate over a columnar
 // RowBlock: atoms become interval-mask kernels, conjuncts AND masks,
@@ -30,26 +23,8 @@
 #include "engine/row_block.h"
 #include "query/predicate.h"
 
-#if defined(__AVX2__)
-#define HYDRA_SIMD_LEVEL 2
-#elif defined(__SSE2__) || defined(_M_X64)
-#define HYDRA_SIMD_LEVEL 1
-#else
-#define HYDRA_SIMD_LEVEL 0
-#endif
-
 namespace hydra {
 namespace kernels {
-
-// The dispatch level this binary was compiled with ("scalar", "sse2",
-// "avx2").
-const char* SimdLevelName();
-
-// Runtime override: false forces every kernel onto its scalar body. Global;
-// intended for A/B benchmarking and cross-path identity tests, not for
-// toggling while queries run.
-void SetSimdEnabled(bool enabled);
-bool SimdEnabled();
 
 // out[i] = col[i] in [lo, hi), as 0/1 bytes.
 void IntervalMask(const Value* col, int64_t n, Value lo, Value hi,
@@ -88,9 +63,7 @@ inline uint64_t MixKey(Value v) {
 
 // out[i] = MixKey(col[i]): one pass over the whole key column, so the mix is
 // computed once per batch instead of once per probe inside the hash-table
-// loop. AVX2 runs 4 lanes of the 64x64 multiplies via the mul_epu32
-// cross-product emulation; below AVX2 the scalar body is already the fastest
-// formulation.
+// loop.
 void HashKeys(const Value* col, int64_t n, uint64_t* out);
 
 // dst[0..n) = v.

@@ -3,14 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <memory>
 #include <numeric>
 #include <utility>
 #include <vector>
 
 #include "common/logging.h"
 #include "common/metrics.h"
-#include "common/thread_pool.h"
 #include "lp/basis_lu.h"
 
 namespace hydra {
@@ -139,9 +137,6 @@ class RevisedSimplex {
       cm_.BuildRows();
       devex_.assign(n_, 1.0);
       alpha_.assign(n_, 0.0);
-    }
-    if (options_.pricing_threads > 1) {
-      price_pool_ = std::make_unique<ThreadPool>(options_.pricing_threads);
     }
     // Unit artificial columns as slices of one shared identity: the column
     // of artificial r is the length-1 slice {art_rows_[r], art_vals_[r]}.
@@ -343,8 +338,8 @@ class RevisedSimplex {
     return -1;
   }
 
-  // The per-column pricing merit, shared by the sequential and striped
-  // scans so both paths evaluate the bit-identical expression.
+  // The per-column pricing merit, shared by the candidate re-price and the
+  // block scan so both evaluate the bit-identical expression.
   double Merit(bool devex, int j, double d) const {
     return devex ? d * d / devex_[j] : -d;
   }
@@ -352,88 +347,24 @@ class RevisedSimplex {
   // Scans the rotating block [begin, begin + len) (mod n_) for improving
   // columns: appends them to candidates_ (dedup + cap) and folds the best
   // merit into (*best, *best_d, *best_score) with the strict-> first-best
-  // rule. With pricing_threads > 1 and a block long enough to amortize the
-  // fork, the block is striped across the pool: every stripe collects its
-  // improving columns in index order plus its own first-best, and the
-  // merge walks stripes in order — stripe concatenation IS block order —
-  // so the candidate-list contents, the kMaxCandidates cutoff, and every
-  // tie-break replay the sequential scan exactly. The shared state the
-  // stripes read (y_, cm_, devex_, in_basis_, candidate_flag_) is
-  // read-only during the scan; candidate_flag_ only mutates in the
-  // single-threaded merge.
+  // rule.
   void ScanPricingBlock(int begin, int len, bool devex, int* best,
                         double* best_d, double* best_score) {
-    constexpr int kMinStripeLen = 2048;
-    const int threads =
-        price_pool_ == nullptr
-            ? 1
-            : std::min(price_pool_->num_threads(),
-                       std::max(1, len / kMinStripeLen));
-    if (threads <= 1) {
-      for (int t = 0; t < len; ++t) {
-        int j = begin + t;
-        if (j >= n_) j -= n_;
-        if (in_basis_[j]) continue;
-        const double d = ReducedCost(j);
-        if (d >= -price_tol_) continue;
-        if (!candidate_flag_[j] && candidates_.size() < kMaxCandidates) {
-          candidate_flag_[j] = 1;
-          candidates_.push_back(j);
-        }
-        const double s = Merit(devex, j, d);
-        if (*best < 0 || s > *best_score) {
-          *best_score = s;
-          *best_d = d;
-          *best = j;
-        }
+    for (int t = 0; t < len; ++t) {
+      int j = begin + t;
+      if (j >= n_) j -= n_;
+      if (in_basis_[j]) continue;
+      const double d = ReducedCost(j);
+      if (d >= -price_tol_) continue;
+      if (!candidate_flag_[j] && candidates_.size() < kMaxCandidates) {
+        candidate_flag_[j] = 1;
+        candidates_.push_back(j);
       }
-      return;
-    }
-    if (static_cast<int>(stripes_.size()) < threads) stripes_.resize(threads);
-    ParallelFor(*price_pool_, threads, [&, begin, len, threads](int s) {
-      PricingStripe& stripe = stripes_[s];
-      stripe.improving.clear();
-      stripe.best = -1;
-      stripe.best_d = 0;
-      stripe.best_score = 0;
-      const int64_t wide_len = len;
-      const int lo = static_cast<int>(wide_len * s / threads);
-      const int hi = static_cast<int>(wide_len * (s + 1) / threads);
-      for (int t = lo; t < hi; ++t) {
-        int j = begin + t;
-        if (j >= n_) j -= n_;
-        if (in_basis_[j]) continue;
-        const double d = ReducedCost(j);
-        if (d >= -price_tol_) continue;
-        // Store only what the merge could append: unflagged columns, at
-        // most the global cap's worth per stripe. Flagged ones still shape
-        // the stripe best below, exactly as the sequential scan's merit
-        // update runs for every improving column.
-        if (!candidate_flag_[j] &&
-            stripe.improving.size() < kMaxCandidates) {
-          stripe.improving.push_back(j);
-        }
-        const double score = Merit(devex, j, d);
-        if (stripe.best < 0 || score > stripe.best_score) {
-          stripe.best_score = score;
-          stripe.best_d = d;
-          stripe.best = j;
-        }
-      }
-    });
-    for (int s = 0; s < threads; ++s) {
-      const PricingStripe& stripe = stripes_[s];
-      for (const int j : stripe.improving) {
-        if (!candidate_flag_[j] && candidates_.size() < kMaxCandidates) {
-          candidate_flag_[j] = 1;
-          candidates_.push_back(j);
-        }
-      }
-      if (stripe.best >= 0 &&
-          (*best < 0 || stripe.best_score > *best_score)) {
-        *best_score = stripe.best_score;
-        *best_d = stripe.best_d;
-        *best = stripe.best;
+      const double s = Merit(devex, j, d);
+      if (*best < 0 || s > *best_score) {
+        *best_score = s;
+        *best_d = d;
+        *best = j;
       }
     }
   }
@@ -806,17 +737,6 @@ class RevisedSimplex {
   std::vector<int> candidates_;  // improving columns to re-price first
   std::vector<char> candidate_flag_;  // j is in candidates_ (dedup)
   double refill_best_score_ = 0;  // best merit at the last refilling scan
-  // Parallel pricing (SimplexOptions::pricing_threads > 1): a private pool
-  // plus per-stripe scratch, reused across blocks so the steady state
-  // allocates nothing.
-  std::unique_ptr<ThreadPool> price_pool_;
-  struct PricingStripe {
-    std::vector<int> improving;  // unflagged improving columns, scan order
-    int best = -1;
-    double best_d = 0;
-    double best_score = 0;
-  };
-  std::vector<PricingStripe> stripes_;
   double tol_ = 1e-7;
   double feas_zero_ = 1e-21;
   double price_tol_ = 1e-7;

@@ -67,14 +67,6 @@ struct SimplexOptions {
   int refactor_interval = 0;
   // Entering-variable rule; kPartial is kept for the ablation bench.
   SimplexPricing pricing = SimplexPricing::kDevex;
-  // Worker threads for the fresh-block pricing scan (the candidate-list
-  // refill over rotating column blocks — the solver's widest loop on
-  // DataSynth-scale variable counts). 1 = sequential. The parallel scan
-  // stripes each block over a private pool and merges stripes in column
-  // order, so the candidate list, every tie-break, and therefore the entire
-  // pivot path are bit-identical at any thread count. Blocks too short to
-  // amortize the fork run sequentially regardless.
-  int pricing_threads = 1;
   // After phase I, polish the feasible point to the unique minimizer of a
   // fixed pseudo-random positive objective. This makes the reported
   // solution a function of the problem alone — identical across pricing

@@ -1,6 +1,8 @@
 // Unit tests for common/: Status, intervals, RNG, text tables.
 
+#include <memory>
 #include <set>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -46,6 +48,16 @@ TEST(StatusOrTest, HoldsError) {
   StatusOr<int> v = Status::NotFound("nope");
   ASSERT_FALSE(v.ok());
   EXPECT_EQ(v.status().code(), StatusCode::kNotFound);
+}
+
+// Dereferencing an rvalue StatusOr moves the value out instead of copying:
+// a move-only payload only compiles through the rvalue overload.
+TEST(StatusOrTest, RvalueDereferenceMovesValue) {
+  StatusOr<std::unique_ptr<int>> v = std::make_unique<int>(7);
+  ASSERT_TRUE(v.ok());
+  std::unique_ptr<int> taken = *std::move(v);
+  ASSERT_NE(taken, nullptr);
+  EXPECT_EQ(*taken, 7);
 }
 
 StatusOr<int> Half(int x) {

@@ -286,10 +286,9 @@ TEST(SelectionVectorTest, FilterEdgeCases) {
   }
 }
 
-TEST(CrossLayoutIdentityTest, ScalarVsSimdAcrossThreadsAndMorsels) {
-  // The dispatch contract: the filter+join pipeline's row stream is
-  // byte-identical between the scalar and SIMD kernel paths, at every
-  // {num_threads, morsel_rows} combination.
+TEST(CrossLayoutIdentityTest, FilterJoinAcrossThreadsAndMorsels) {
+  // The filter+join pipeline's row stream is byte-identical to the
+  // sequential run at every {num_threads, morsel_rows} combination.
   ToyEnvironment env = MakeToyEnvironment();
   HydraRegenerator hydra(env.schema);
   auto result = hydra.Regenerate(env.ccs);
@@ -312,21 +311,15 @@ TEST(CrossLayoutIdentityTest, ScalarVsSimdAcrossThreadsAndMorsels) {
     return Drain(&join);
   };
 
-  kernels::SetSimdEnabled(true);
   const auto baseline = run(nullptr);
   ASSERT_GT(baseline.second.size(), 0u);
-  for (const bool simd : {false, true}) {
-    kernels::SetSimdEnabled(simd);
-    for (const int threads : {1, 2, 8}) {
-      for (const int64_t morsel : {311, 4096}) {
-        ExecContext ctx(ExecOptions{threads, morsel});
-        EXPECT_EQ(run(&ctx), baseline)
-            << (simd ? kernels::SimdLevelName() : "scalar") << " x " << threads
-            << " threads x morsel " << morsel;
-      }
+  for (const int threads : {1, 2, 8}) {
+    for (const int64_t morsel : {311, 4096}) {
+      ExecContext ctx(ExecOptions{threads, morsel});
+      EXPECT_EQ(run(&ctx), baseline)
+          << threads << " threads x morsel " << morsel;
     }
   }
-  kernels::SetSimdEnabled(true);
 }
 
 TEST(MorselEdgeCaseTest, LimitStopsEarlyOverParallelLeaf) {

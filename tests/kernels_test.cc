@@ -1,7 +1,7 @@
-// Tests for engine/kernels: scalar-vs-SIMD bit-identity of every dispatched
-// kernel (over lengths that exercise the vector tails), selection-vector
-// mechanics, and BlockPredicate compilation semantics against
-// DnfPredicate::Eval as the oracle.
+// Tests for engine/kernels: every kernel against a per-element reference
+// loop written here (over lengths that exercise the compiler's vector tails),
+// selection-vector mechanics, and BlockPredicate compilation semantics
+// against DnfPredicate::Eval as the oracle.
 
 #include <gtest/gtest.h>
 
@@ -18,12 +18,6 @@ namespace {
 
 using kernels::BlockPredicate;
 
-// Restores the global dispatch switch even when a test fails mid-body.
-class SimdGuard {
- public:
-  ~SimdGuard() { kernels::SetSimdEnabled(true); }
-};
-
 std::vector<Value> RandomColumn(int64_t n, uint32_t seed, Value lo = -100,
                                 Value hi = 100) {
   std::mt19937 rng(seed);
@@ -36,52 +30,46 @@ std::vector<Value> RandomColumn(int64_t n, uint32_t seed, Value lo = -100,
 // Lengths around the 2/4/16-lane vector widths plus larger odd sizes.
 const int64_t kLengths[] = {0, 1, 2, 3, 4, 5, 7, 8, 15, 16, 17, 63, 1000, 1001};
 
-TEST(KernelsTest, IntervalMaskMatchesScalarAcrossDispatch) {
-  SimdGuard guard;
+TEST(KernelsTest, IntervalMaskMatchesReference) {
   for (const int64_t n : kLengths) {
     const std::vector<Value> col = RandomColumn(n, 42 + n);
-    std::vector<uint8_t> scalar_mask(n + 1, 0xee), simd_mask(n + 1, 0xee);
-    kernels::SetSimdEnabled(false);
-    kernels::IntervalMask(col.data(), n, -10, 25, scalar_mask.data());
-    kernels::SetSimdEnabled(true);
-    kernels::IntervalMask(col.data(), n, -10, 25, simd_mask.data());
-    EXPECT_EQ(scalar_mask, simd_mask) << "n=" << n;
+    std::vector<uint8_t> mask(n + 1, 0xee);
+    kernels::IntervalMask(col.data(), n, -10, 25, mask.data());
     for (int64_t i = 0; i < n; ++i) {
-      EXPECT_EQ(scalar_mask[i], col[i] >= -10 && col[i] < 25 ? 1 : 0);
+      EXPECT_EQ(mask[i], col[i] >= -10 && col[i] < 25 ? 1 : 0)
+          << "n=" << n << " i=" << i;
     }
-    EXPECT_EQ(simd_mask[n], 0xee) << "wrote past the mask";
+    EXPECT_EQ(mask[n], 0xee) << "wrote past the mask";
 
     // The OR accumulator only ever sets bytes.
-    kernels::SetSimdEnabled(false);
-    kernels::IntervalMaskOr(col.data(), n, 50, 90, scalar_mask.data());
-    kernels::SetSimdEnabled(true);
-    kernels::IntervalMaskOr(col.data(), n, 50, 90, simd_mask.data());
-    EXPECT_EQ(scalar_mask, simd_mask) << "n=" << n;
+    kernels::IntervalMaskOr(col.data(), n, 50, 90, mask.data());
     for (int64_t i = 0; i < n; ++i) {
-      EXPECT_EQ(scalar_mask[i], (col[i] >= -10 && col[i] < 25) ||
-                                        (col[i] >= 50 && col[i] < 90)
-                                    ? 1
-                                    : 0);
+      EXPECT_EQ(mask[i], (col[i] >= -10 && col[i] < 25) ||
+                                 (col[i] >= 50 && col[i] < 90)
+                             ? 1
+                             : 0)
+          << "n=" << n << " i=" << i;
     }
+    EXPECT_EQ(mask[n], 0xee) << "wrote past the mask";
   }
 }
 
 TEST(KernelsTest, IntervalMaskExtremeBounds) {
-  SimdGuard guard;
   const std::vector<Value> col = {INT64_MIN, -1, 0, 1, INT64_MAX};
-  for (const bool simd : {false, true}) {
-    kernels::SetSimdEnabled(simd);
-    std::vector<uint8_t> mask(col.size());
-    kernels::IntervalMask(col.data(), col.size(), INT64_MIN, INT64_MAX,
+  std::vector<uint8_t> mask(col.size());
+  kernels::IntervalMask(col.data(), col.size(), INT64_MIN, INT64_MAX,
+                        mask.data());
+  EXPECT_EQ(mask, (std::vector<uint8_t>{1, 1, 1, 1, 0}));
+  kernels::IntervalMask(col.data(), col.size(), 0, 1, mask.data());
+  EXPECT_EQ(mask, (std::vector<uint8_t>{0, 0, 1, 0, 0}));
+  kernels::IntervalMaskOr(col.data(), col.size(), INT64_MAX - 1, INT64_MAX,
                           mask.data());
-    EXPECT_EQ(mask, (std::vector<uint8_t>{1, 1, 1, 1, 0})) << "simd=" << simd;
-    kernels::IntervalMask(col.data(), col.size(), 0, 1, mask.data());
-    EXPECT_EQ(mask, (std::vector<uint8_t>{0, 0, 1, 0, 0})) << "simd=" << simd;
-  }
+  EXPECT_EQ(mask, (std::vector<uint8_t>{0, 0, 1, 0, 0}));
+  kernels::IntervalMaskOr(col.data(), col.size(), INT64_MIN, -1, mask.data());
+  EXPECT_EQ(mask, (std::vector<uint8_t>{1, 0, 1, 0, 0}));
 }
 
-TEST(KernelsTest, MaskCombineMatchesScalarAcrossDispatch) {
-  SimdGuard guard;
+TEST(KernelsTest, MaskCombineMatchesReference) {
   for (const int64_t n : kLengths) {
     std::mt19937 rng(7 + n);
     std::vector<uint8_t> a(n), b(n);
@@ -89,19 +77,12 @@ TEST(KernelsTest, MaskCombineMatchesScalarAcrossDispatch) {
       a[i] = rng() & 1;
       b[i] = rng() & 1;
     }
-    std::vector<uint8_t> and_scalar = a, and_simd = a;
-    std::vector<uint8_t> or_scalar = a, or_simd = a;
-    kernels::SetSimdEnabled(false);
-    kernels::MaskAnd(and_scalar.data(), b.data(), n);
-    kernels::MaskOr(or_scalar.data(), b.data(), n);
-    kernels::SetSimdEnabled(true);
-    kernels::MaskAnd(and_simd.data(), b.data(), n);
-    kernels::MaskOr(or_simd.data(), b.data(), n);
-    EXPECT_EQ(and_scalar, and_simd) << "n=" << n;
-    EXPECT_EQ(or_scalar, or_simd) << "n=" << n;
+    std::vector<uint8_t> and_mask = a, or_mask = a;
+    kernels::MaskAnd(and_mask.data(), b.data(), n);
+    kernels::MaskOr(or_mask.data(), b.data(), n);
     for (int64_t i = 0; i < n; ++i) {
-      EXPECT_EQ(and_scalar[i], a[i] & b[i]);
-      EXPECT_EQ(or_scalar[i], a[i] | b[i]);
+      EXPECT_EQ(and_mask[i], a[i] & b[i]) << "n=" << n << " i=" << i;
+      EXPECT_EQ(or_mask[i], a[i] | b[i]) << "n=" << n << " i=" << i;
     }
   }
 }
@@ -130,29 +111,36 @@ TEST(KernelsTest, GatherSupportsInPlaceCompaction) {
   EXPECT_EQ(buf[2], 15);
 }
 
-TEST(KernelsTest, HashKeysMatchesMixKeyAcrossDispatch) {
-  SimdGuard guard;
+TEST(KernelsTest, HashKeysMatchesMixKey) {
   for (const int64_t n : kLengths) {
     const std::vector<Value> col =
         RandomColumn(n, 1234 + n, INT64_MIN / 2, INT64_MAX / 2);
-    std::vector<uint64_t> scalar_hash(n), simd_hash(n);
-    kernels::SetSimdEnabled(false);
-    kernels::HashKeys(col.data(), n, scalar_hash.data());
-    kernels::SetSimdEnabled(true);
-    kernels::HashKeys(col.data(), n, simd_hash.data());
-    EXPECT_EQ(scalar_hash, simd_hash) << "n=" << n;
+    std::vector<uint64_t> hash(n);
+    kernels::HashKeys(col.data(), n, hash.data());
     for (int64_t i = 0; i < n; ++i) {
-      EXPECT_EQ(scalar_hash[i], kernels::MixKey(col[i]));
+      EXPECT_EQ(hash[i], kernels::MixKey(col[i])) << "n=" << n << " i=" << i;
     }
+  }
+  // Extreme keys go through the same fixed mix.
+  const std::vector<Value> extremes = {INT64_MIN, -1, 0, 1, INT64_MAX};
+  std::vector<uint64_t> hash(extremes.size());
+  kernels::HashKeys(extremes.data(), extremes.size(), hash.data());
+  for (size_t i = 0; i < extremes.size(); ++i) {
+    EXPECT_EQ(hash[i], kernels::MixKey(extremes[i])) << "i=" << i;
   }
 }
 
 TEST(KernelsTest, FillKernels) {
+  for (const int64_t n : kLengths) {
+    std::vector<Value> buf(n + 1, -1);
+    kernels::FillConst(buf.data(), n, 7);
+    for (int64_t i = 0; i < n; ++i) EXPECT_EQ(buf[i], 7) << "n=" << n;
+    kernels::FillIota(buf.data(), n, 100);
+    for (int64_t i = 0; i < n; ++i) EXPECT_EQ(buf[i], 100 + i) << "n=" << n;
+    EXPECT_EQ(buf[n], -1) << "wrote past the buffer";
+  }
   std::vector<Value> buf(10, -1);
-  kernels::FillConst(buf.data(), 10, 7);
-  EXPECT_EQ(buf, std::vector<Value>(10, 7));
   kernels::FillIota(buf.data(), 10, 100);
-  for (int64_t i = 0; i < 10; ++i) EXPECT_EQ(buf[i], 100 + i);
   kernels::FillConst(buf.data(), 0, 9);  // n = 0 is a no-op
   EXPECT_EQ(buf[0], 100);
 }
@@ -177,8 +165,7 @@ TEST(BlockPredicateTest, CompilationSemantics) {
   EXPECT_TRUE(BlockPredicate(impossible).is_false());
 }
 
-TEST(BlockPredicateTest, SelectMatchesRowOracleAcrossDispatch) {
-  SimdGuard guard;
+TEST(BlockPredicateTest, SelectMatchesRowOracle) {
   // Two conjuncts, one with a multi-interval atom:
   // (c0∈[0,40) ∧ c1∈[−50,0)) ∨ c0∈[60,70)∪[80,90).
   const IntervalSet split(std::vector<Interval>{{60, 70}, {80, 90}});
@@ -196,12 +183,9 @@ TEST(BlockPredicateTest, SelectMatchesRowOracleAcrossDispatch) {
       block.CopyRowTo(r, row.data());
       if (dnf.Eval(row)) expected.push_back(static_cast<int32_t>(r));
     }
-    for (const bool simd : {false, true}) {
-      kernels::SetSimdEnabled(simd);
-      SelVector sel = {123};  // Select clears
-      pred.Select(block, &sel);
-      EXPECT_EQ(sel, expected) << "n=" << n << " simd=" << simd;
-    }
+    SelVector sel = {123};  // Select clears
+    pred.Select(block, &sel);
+    EXPECT_EQ(sel, expected) << "n=" << n;
   }
 }
 

@@ -165,70 +165,5 @@ TEST(SimplexStressTest, WideAndShallowStaysFast) {
   EXPECT_LE(sol->iterations, 40 * m);
 }
 
-TEST(SimplexStressTest, ParallelPricingBitIdentical) {
-  // The striped pricing scan merges stripes in column order, so thread
-  // count must not perturb the pivot path: identical iteration counts,
-  // identical exported basis, and bit-identical (==, not near) solution
-  // values at every pricing_threads setting. The instance is wide enough
-  // (20k columns) that the fresh-block scans actually fork.
-  const int n = 20000;
-  const int m = 24;
-  Rng rng(29);
-  std::vector<int64_t> witness(n);
-  for (int j = 0; j < n; ++j) witness[j] = rng.NextInt(0, 1000);
-  LpProblem p;
-  p.AddVariables(n);
-  for (int i = 0; i < m; ++i) {
-    LpConstraint c;
-    int64_t rhs = 0;
-    for (int j = 0; j < n; ++j) {
-      if (rng.NextBool(0.05)) {
-        c.AddTerm(j, 1.0);
-        rhs += witness[j];
-      }
-    }
-    c.rhs = static_cast<double>(rhs);
-    p.AddConstraint(std::move(c));
-  }
-
-  SimplexOptions base;
-  SimplexBasis ref_basis;
-  base.export_basis = &ref_basis;
-  auto ref = SolveFeasibility(p, base);
-  ASSERT_TRUE(ref.ok()) << ref.status().ToString();
-
-  for (const int threads : {2, 3, 8}) {
-    SimplexOptions opt;
-    opt.pricing_threads = threads;
-    SimplexBasis basis;
-    opt.export_basis = &basis;
-    auto sol = SolveFeasibility(p, opt);
-    ASSERT_TRUE(sol.ok()) << sol.status().ToString();
-    EXPECT_EQ(sol->iterations, ref->iterations) << threads << " threads";
-    EXPECT_EQ(sol->phase1_iterations, ref->phase1_iterations);
-    EXPECT_EQ(basis.basic, ref_basis.basic) << threads << " threads";
-    ASSERT_EQ(sol->values.size(), ref->values.size());
-    for (size_t j = 0; j < ref->values.size(); ++j) {
-      ASSERT_EQ(sol->values[j], ref->values[j])
-          << "column " << j << " at " << threads << " threads";
-    }
-  }
-
-  // Both pricing rules must stay deterministic under striping.
-  for (const auto pricing : {SimplexPricing::kDevex, SimplexPricing::kPartial}) {
-    SimplexOptions seq;
-    seq.pricing = pricing;
-    auto a = SolveFeasibility(p, seq);
-    SimplexOptions par = seq;
-    par.pricing_threads = 4;
-    auto b = SolveFeasibility(p, par);
-    ASSERT_TRUE(a.ok() && b.ok());
-    EXPECT_EQ(a->iterations, b->iterations);
-    for (size_t j = 0; j < a->values.size(); ++j) {
-      ASSERT_EQ(a->values[j], b->values[j]) << "column " << j;
-    }
-  }
-}
-
 }  // namespace
 }  // namespace hydra
